@@ -62,11 +62,12 @@ bench-trace:
 		-benchtime 50x -benchmem
 
 # Hot-path benchmarks (the BENCH_HOTPATH.json source): delta-programming
-# cell-write savings, warm-started repeat solves, and the structured LDL^T
-# versus dense LU on the reduced KKT system.
+# cell-write savings, warm-started repeat solves, the structured LDL^T
+# versus dense LU on the reduced KKT system, and the host time of one
+# simulated crossbar settle and one analog residual read.
 bench-hotpath:
-	$(GO) test . ./internal/linalg/ -run '^$$' \
-		-bench 'BenchmarkDeltaWrites|BenchmarkWarmStart|BenchmarkLDLT|BenchmarkLUKKT' \
+	$(GO) test . ./internal/linalg/ ./internal/crossbar/ -run '^$$' \
+		-bench 'BenchmarkDeltaWrites|BenchmarkWarmStart|BenchmarkLDLT|BenchmarkLUKKT|BenchmarkCrossbarSettle|BenchmarkCrossbarMatVecResidual' \
 		-benchtime 20x -benchmem
 
 # Tiled-PDHG worker-grid benchmarks (the BENCH_PDHG.json source): one

@@ -396,9 +396,22 @@ func (x *Crossbar) quantizeG(g float64) float64 {
 	if g >= gmax {
 		return gmax
 	}
-	step := math.Exp2(-float64(x.cfg.WriteBits - 1))
-	scale := math.Exp2(math.Ceil(math.Log2(g))) * step
+	scale := pgaScale(g, x.cfg.WriteBits)
 	return math.Round(g/scale) * scale
+}
+
+// pgaScale returns the grid step that keeps bits of e's own magnitude:
+// 2^(⌈log2|e|⌉−(bits−1)), for finite non-zero e. The exponent comes from
+// Frexp, which is exact, where ⌈math.Log2⌉ can be one short just above a
+// power of two; DESIGN.md D17 shows both grids round e to that power there.
+//
+//memlp:hotpath
+func pgaScale(e float64, bits int) float64 {
+	frac, exp := math.Frexp(math.Abs(e)) // |e| = frac·2^exp, frac ∈ [0.5, 1)
+	if linalg.Identical(frac, 0.5) {
+		exp-- // |e| = 2^(exp−1) exactly
+	}
+	return math.Ldexp(1, exp-(bits-1))
 }
 
 // Config returns the (defaulted) configuration.
@@ -698,14 +711,37 @@ func (x *Crossbar) effG(i, j int, g float64) float64 {
 // per-iteration inner kernel of every analog read (Algorithm 1/2 mat-vec and
 // residual paths).
 //
+// plain (see plainSense) selects a loop that skips zero-conductance cells
+// without calling effG. A skipped cell would add ±0 to both sums, and a sum
+// that starts at +0 never becomes −0, so the result is the same bits.
+//
 //memlp:hotpath
-func (x *Crossbar) senseRow(i int, vi linalg.Vector) (num, sum float64) {
+func (x *Crossbar) senseRow(i int, vi linalg.Vector, plain bool) (num, sum float64) {
+	if plain {
+		for j, g := range x.gt.RawRow(i) {
+			if g != 0 {
+				num += g * vi[j]
+				sum += g
+			}
+		}
+		return num, sum
+	}
 	for j, g := range x.gt.RawRow(i) {
 		ge := x.effG(i, j, g)
 		num += ge * vi[j]
 		sum += ge
 	}
 	return num, sum
+}
+
+// plainSense reports whether senseRow may skip zero cells for input vi: effG
+// must be the identity (no wire resistance, no drift) and every input finite,
+// because 0·NaN and 0·±Inf are NaN, not the ±0 the skip drops.
+func (x *Crossbar) plainSense(vi linalg.Vector) bool {
+	if x.cfg.WireResistance != 0 || (x.cellCycle != nil && x.driftEnabled()) {
+		return false
+	}
+	return vi.AllFinite()
 }
 
 // MatVec performs the analog multiplication userMatrix · v, including DAC
@@ -727,8 +763,9 @@ func (x *Crossbar) MatVec(v linalg.Vector) (linalg.Vector, error) {
 	}
 	gs := x.cfg.SenseConductance
 	vo := scratchVec(&x.mvVO, x.rows)
+	plain := x.plainSense(vi)
 	for i := 0; i < x.rows; i++ {
-		num, s := x.senseRow(i, vi)
+		num, s := x.senseRow(i, vi, plain)
 		vo[i] = num / (gs + s)
 	}
 	out, err := x.fromAnalog(vo, &x.mvOut)
@@ -775,8 +812,9 @@ func (x *Crossbar) MatVecResidual(base, v, factor linalg.Vector) (linalg.Vector,
 	x.counters.IOConversions += int64(len(vi))
 	gs := x.cfg.SenseConductance
 	out := scratchVec(&x.resOut, x.rows)
+	plain := x.plainSense(vi)
 	for i := 0; i < x.rows; i++ {
-		num, srow := x.senseRow(i, vi)
+		num, srow := x.senseRow(i, vi, plain)
 		t := x.rowScale[i] * num / (gs + srow)
 		if factor != nil {
 			t *= factor[i]
@@ -959,14 +997,11 @@ func (x *Crossbar) quantizeIO(v linalg.Vector) error {
 	}
 	// Per-element PGA: quantize each element against its own power-of-two
 	// full scale, which keeps a constant relative resolution.
-	step := math.Exp2(-float64(x.cfg.IOBits - 1))
 	for i, e := range v {
 		if e == 0 || math.IsNaN(e) || math.IsInf(e, 0) {
 			continue
 		}
-		mag := math.Abs(e)
-		exp := math.Ceil(math.Log2(mag))
-		scale := math.Exp2(exp) * step
+		scale := pgaScale(e, x.cfg.IOBits)
 		v[i] = math.Round(e/scale) * scale
 	}
 	return nil

@@ -3,6 +3,7 @@ package linalg
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // SolveStructured solves a·x = b exactly like SolveDense but first performs a
@@ -18,6 +19,15 @@ import (
 // which is what makes the m = 1024 experiments tractable in simulation. The
 // hardware, of course, solves the whole system in one analog settle;
 // this routine only accelerates the simulation of that settle.
+//
+// The same pass that counts each row's non-zeros also lists each row's
+// non-zero columns in ascending order; the pivot search, the eliminations
+// and the back-substitution walk those lists instead of full rows, so the
+// presolve costs O(non-zeros) and the only O(n²) work left is copying a and
+// that one scan. A list keeps every column its row has held a non-zero in,
+// and is ascending and duplicate-free whenever it is walked, so every cell
+// sees the same operations in the same order as a full-row walk: the result
+// is bit-identical to scanning whole rows.
 func SolveStructured(a *Matrix, b Vector) (Vector, error) {
 	var w StructuredWorkspace
 	x, err := w.Solve(a, b)
@@ -42,6 +52,8 @@ type StructuredWorkspace struct {
 	liveRow  []bool
 	liveCol  []bool
 	colRows  [][]int32
+	rowCols  [][]int32 // per-row non-zero columns; see Solve
+	unsorted []bool    // rowCols[i] has fill-ins appended out of order
 	order    []structuredStep
 	queue    []int
 	coreRows []int
@@ -63,12 +75,16 @@ func (w *StructuredWorkspace) prepare(a *Matrix, b Vector) {
 		w.liveRow = make([]bool, n)
 		w.liveCol = make([]bool, n)
 		w.colRows = make([][]int32, n)
+		w.rowCols = make([][]int32, n)
+		w.unsorted = make([]bool, n)
 		w.x = make(Vector, n)
 	} else {
 		copy(w.work.data, a.data)
 		clear(w.rowNNZ)
+		clear(w.unsorted)
 		for j := 0; j < n; j++ {
 			w.colRows[j] = w.colRows[j][:0]
+			w.rowCols[j] = w.rowCols[j][:0]
 		}
 	}
 	copy(w.rhs, b)
@@ -91,29 +107,28 @@ func (w *StructuredWorkspace) Solve(a *Matrix, b Vector) (Vector, error) {
 
 	w.prepare(a, b)
 	work, rhs := w.work, w.rhs
-	rowNNZ, liveRow, liveCol, colRows := w.rowNNZ, w.liveRow, w.liveCol, w.colRows
+	rowNNZ, liveRow, liveCol := w.rowNNZ, w.liveRow, w.liveCol
+	colRows, rowCols := w.colRows, w.rowCols
 
-	for i := 0; i < n; i++ {
-		liveRow[i], liveCol[i] = true, true
-		for _, v := range work.RawRow(i) {
-			if v != 0 {
-				rowNNZ[i]++
-			}
-		}
-	}
-
-	// Column occupancy: which rows hold a non-zero in each column. Kept as
-	// append-only row-index slices rather than sets: an entry whose value has
+	// Column occupancy (which rows hold a non-zero in each column) and row
+	// occupancy (the non-zero columns of each row), both from one scan. Kept
+	// as append-only index slices rather than sets: an entry whose value has
 	// since become zero is a tombstone, detected exactly at use (eliminations
 	// zero the pivot column with an assignment, never arithmetic, so the test
 	// against 0 is reliable). Slices iterate in insertion order, which keeps
 	// the elimination sequence — and therefore the floating-point result —
 	// deterministic; a map's randomized iteration order here would perturb
-	// results run to run and across fabric-pool replicas.
+	// results run to run and across fabric-pool replicas. Row lists start
+	// ascending; fill-ins are appended and the row is sorted and
+	// de-duplicated (a cell revived after cancelling is appended again) only
+	// when it becomes a pivot row, the first time its list is walked.
 	for i := 0; i < n; i++ {
+		liveRow[i], liveCol[i] = true, true
 		for j, v := range work.RawRow(i) {
 			if v != 0 {
+				rowNNZ[i]++
 				colRows[j] = append(colRows[j], int32(i))
+				rowCols[i] = append(rowCols[i], int32(j))
 			}
 		}
 	}
@@ -134,8 +149,15 @@ func (w *StructuredWorkspace) Solve(a *Matrix, b Vector) (Vector, error) {
 		pc := -1
 		var pv float64
 		row := work.RawRow(r)
-		for j, v := range row {
-			if v != 0 && liveCol[j] && math.Abs(v) > math.Abs(pv) {
+		if w.unsorted[r] {
+			// Ascending order keeps the lowest column on a magnitude tie
+			// and fixes the back-substitution's summation order.
+			slices.Sort(rowCols[r])
+			rowCols[r] = slices.Compact(rowCols[r])
+		}
+		for _, c := range rowCols[r] {
+			j := int(c)
+			if v := row[j]; v != 0 && liveCol[j] && math.Abs(v) > math.Abs(pv) {
 				pc, pv = j, v
 			}
 		}
@@ -155,7 +177,9 @@ func (w *StructuredWorkspace) Solve(a *Matrix, b Vector) (Vector, error) {
 			}
 			factor := work.At(other, pc) / pv
 			orow := work.RawRow(other)
-			for j, v := range row {
+			for _, c := range rowCols[r] {
+				j := int(c)
+				v := row[j]
 				if v == 0 || !liveCol[j] {
 					continue
 				}
@@ -175,6 +199,8 @@ func (w *StructuredWorkspace) Solve(a *Matrix, b Vector) (Vector, error) {
 				} else if old == 0 && nw != 0 {
 					rowNNZ[other]++
 					colRows[j] = append(colRows[j], o)
+					rowCols[other] = append(rowCols[other], c)
+					w.unsorted[other] = true
 				}
 			}
 			rhs[other] -= factor * rhs[r]
@@ -234,8 +260,9 @@ func (w *StructuredWorkspace) Solve(a *Matrix, b Vector) (Vector, error) {
 		st := w.order[k]
 		row := work.RawRow(st.row)
 		s := rhs[st.row]
-		for j, v := range row {
-			if v != 0 && j != st.col {
+		for _, c := range rowCols[st.row] {
+			j := int(c)
+			if v := row[j]; v != 0 && j != st.col {
 				s -= v * x[j]
 			}
 		}
